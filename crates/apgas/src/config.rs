@@ -21,17 +21,13 @@ pub enum RedundancyMode {
 
 /// Configuration of an APGAS runtime.
 ///
-/// Defaults mirror the paper's launch configuration: one worker thread per
-/// place (`X10_NTHREADS=1`) and 32 places per host (octant).
+/// Defaults mirror the paper's launch configuration: one worker per place
+/// (`X10_NTHREADS=1`, the only configuration this runtime supports) and 32
+/// places per host (octant).
 #[derive(Clone, Debug)]
 pub struct Config {
     /// Number of places. Execution starts at place 0.
     pub places: usize,
-    /// Worker threads per place. The paper runs all experiments with one
-    /// worker per place and dedicates a core to each; intra-place schedulers
-    /// are explicitly left as future work, but multiple workers are
-    /// supported here.
-    pub workers_per_place: usize,
     /// Places per host; determines host masters for `FINISH_DENSE` routing
     /// and the Power 775 traffic accounting (32 on the paper's machine).
     pub places_per_host: usize,
@@ -105,11 +101,12 @@ pub struct Config {
     /// `None` — the default — waits forever (the fault-free configuration
     /// never needs it and pays nothing for it).
     pub finish_watchdog: Option<Duration>,
-    /// Deterministic-schedule mode (simulation testing): workers yield to a
-    /// [`crate::step::StepGate`] at the top of every scheduling quantum and
-    /// only run when an external schedule controller grants them one — see
-    /// the `sim` crate. Requires `workers_per_place == 1`. Off by default;
-    /// the threaded path then pays exactly one `Option` check per quantum.
+    /// Deterministic-schedule mode (simulation testing): every place runs as
+    /// a context that only an external schedule controller resumes, one
+    /// scheduling quantum per [`crate::Runtime::step`] — see the `sim`
+    /// crate. Overrides `executor_threads` (no executor thread starts) and,
+    /// like it, needs an x86_64 host. Off by default; the other modes then
+    /// pay one flag check per quantum.
     pub deterministic: bool,
     /// How protocol messages are packed into envelopes (see `PROTOCOL.md`).
     /// [`x10rt::CodecMode::Inline`] — the default — ships typed in-process
@@ -124,8 +121,8 @@ pub struct Config {
     /// thread per place. `None` — the default — keeps the classic
     /// thread-per-place mode. With `Some(n)`, place counts decouple from
     /// core counts: a 4,096-place runtime runs in one process on `n`
-    /// threads (see DESIGN.md §"M:N place scheduling"). Requires
-    /// `workers_per_place == 1` and an x86_64 host.
+    /// threads (see DESIGN.md §"M:N place scheduling"). Requires an x86_64
+    /// host; ignored in deterministic mode.
     pub executor_threads: Option<usize>,
     /// Usable stack bytes per place context in M:N mode (rounded up to a
     /// page; a guard page is added below). Stacks are mapped `NORESERVE`,
@@ -157,7 +154,6 @@ impl Config {
     pub fn new(places: usize) -> Self {
         Config {
             places,
-            workers_per_place: 1,
             places_per_host: 32,
             park_timeout: Duration::from_micros(200),
             finish_flush_entries: 64,
@@ -217,13 +213,6 @@ impl Config {
     pub fn places_per_host(mut self, b: usize) -> Self {
         assert!(b > 0);
         self.places_per_host = b;
-        self
-    }
-
-    /// Set workers per place (builder style).
-    pub fn workers_per_place(mut self, w: usize) -> Self {
-        assert!(w > 0);
-        self.workers_per_place = w;
         self
     }
 
@@ -314,8 +303,8 @@ impl Config {
         self
     }
 
-    /// Enable deterministic-schedule mode (builder style) — workers step
-    /// only under an external schedule controller's grants.
+    /// Enable deterministic-schedule mode (builder style) — places run only
+    /// when an external schedule controller steps them.
     pub fn deterministic(mut self, on: bool) -> Self {
         self.deterministic = on;
         self
@@ -351,7 +340,6 @@ mod tests {
     fn defaults_match_paper_launch_config() {
         let c = Config::new(64);
         assert_eq!(c.places, 64);
-        assert_eq!(c.workers_per_place, 1);
         assert_eq!(c.places_per_host, 32);
         assert!(!c.batch_disable);
         assert_eq!(c.batch_max_msgs, 64);
@@ -421,9 +409,8 @@ mod tests {
 
     #[test]
     fn builder_overrides() {
-        let c = Config::new(8).places_per_host(4).workers_per_place(2);
+        let c = Config::new(8).places_per_host(4);
         assert_eq!(c.places_per_host, 4);
-        assert_eq!(c.workers_per_place, 2);
     }
 
     #[test]

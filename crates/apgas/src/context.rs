@@ -1,26 +1,28 @@
-//! Stackful place contexts for M:N scheduling.
+//! Stackful place contexts for M:N scheduling and deterministic stepping.
 //!
 //! When [`crate::Config::executor_threads`] is set, each hosted place runs as
 //! a *context* — a worker loop on its own heap-allocated call stack — instead
 //! of owning an OS thread. A small pool of executor threads resumes runnable
 //! contexts; a context that finds nothing to do yields back to its executor
 //! instead of blocking the thread, so thousands of places multiplex over a
-//! handful of cores (ROADMAP item "M:N lightweight places").
+//! handful of cores (ROADMAP item "M:N lightweight places"). With
+//! [`crate::Config::deterministic`] the same contexts are resumed by the
+//! schedule controller instead, one quantum per [`crate::Runtime::step`].
 //!
 //! The switch itself is ~20 instructions of `global_asm!`: save the SysV
 //! callee-saved registers plus the FP control words on the outgoing stack,
 //! swap `rsp`, restore, `ret`. Everything a place can wait on is
-//! quantum-shaped (the `step::StepGate` baton proves this — the deterministic
-//! controller already drives every wait point one `run_one` quantum at a
-//! time), so a context only ever switches at the top of its scheduler loop,
-//! never in the middle of protocol state updates.
+//! quantum-shaped (the deterministic controller drives every wait point one
+//! `run_one` quantum at a time), so a context only ever switches at the top
+//! of its scheduler loop, never in the middle of protocol state updates.
 //!
 //! Safety model: a context's stack, saved stack pointers, and entry closure
-//! are only ever touched by the executor thread that currently holds its
-//! `claimed` flag. The flag is handed over with acquire/release ordering
-//! ([`ExecutorPool`](crate::executor::ExecutorPool) does the claiming), which
-//! is what makes migrating a context between executor threads sound: the
-//! claiming thread observes every stack write the previous thread made.
+//! are only ever touched by the thread that currently holds its `claimed`
+//! flag. The flag is handed over with acquire/release ordering (the
+//! [`ExecutorPool`](crate::executor::ExecutorPool) and `Runtime::step` do
+//! the claiming), which is what makes migrating a context between threads
+//! sound: the claiming thread observes every stack write the previous
+//! thread made.
 
 use std::cell::Cell;
 use std::cell::UnsafeCell;
@@ -133,7 +135,7 @@ const FRAME: usize = 64;
 const FRESH_FPU_WORDS: u64 = 0x1F80 | (0x037F << 32);
 
 thread_local! {
-    /// The context currently running on this executor thread, if any. Set
+    /// The context currently running on this thread, if any. Set
     /// around `resume`, read by `yield_now` from inside the context.
     static CURRENT: Cell<*const PlaceContext> = const { Cell::new(std::ptr::null()) };
 }
@@ -193,20 +195,20 @@ impl Drop for StackMem {
 }
 
 /// One place's schedulable context: a worker loop suspended on its own
-/// stack. Contexts are identified by their slot in the executor pool; the
-/// runtime maps pool slots to hosted place ids.
+/// stack. Contexts are identified by their slot in the executor pool (or in
+/// the runtime's stepped list); the runtime maps slots to hosted place ids.
 pub(crate) struct PlaceContext {
     stack: StackMem,
     /// Suspended stack pointer of the context (valid while not running).
     ctx_sp: UnsafeCell<*mut u8>,
-    /// Stack pointer of the executor currently running the context.
+    /// Stack pointer of the thread currently running the context.
     exec_sp: UnsafeCell<*mut u8>,
     /// Set by wakers; cleared by the executor just before resuming, so a
     /// wake that lands mid-quantum re-marks the context instead of being
     /// lost.
     pub(crate) runnable: AtomicBool,
-    /// Exclusive-run flag: at most one executor drives a context at a time.
-    /// Hand-over is acquire/release — the claiming executor sees all stack
+    /// Exclusive-run flag: at most one thread drives a context at a time.
+    /// Hand-over is acquire/release — the claiming thread sees all stack
     /// state the releasing one wrote.
     pub(crate) claimed: AtomicBool,
     finished: AtomicBool,
@@ -214,7 +216,7 @@ pub(crate) struct PlaceContext {
 }
 
 // SAFETY: `ctx_sp`/`exec_sp`/`entry` and the stack are only accessed by the
-// executor thread that holds `claimed` (or by `new` before the context is
+// thread that holds `claimed` (or by `new` before the context is
 // shared); the `claimed` AcqRel handoff orders those accesses.
 unsafe impl Send for PlaceContext {}
 unsafe impl Sync for PlaceContext {}
@@ -222,7 +224,9 @@ unsafe impl Sync for PlaceContext {}
 impl PlaceContext {
     pub(crate) fn new(stack_size: usize, entry: Box<dyn FnOnce() + Send>) -> Arc<PlaceContext> {
         if !cfg!(target_arch = "x86_64") {
-            panic!("Config::executor_threads (M:N place contexts) requires x86_64");
+            panic!(
+                "place contexts (Config::executor_threads, Config::deterministic) require x86_64"
+            );
         }
         let ctx = Arc::new(PlaceContext {
             stack: StackMem::alloc(stack_size),
@@ -282,7 +286,8 @@ impl PlaceContext {
     }
 }
 
-/// Yield the currently running place context back to its executor thread.
+/// Yield the currently running place context back to the thread that
+/// resumed it (an executor, or the schedule controller).
 /// Returns `false` (and does nothing) when the caller is not running on a
 /// context — workers use that to fall back to `thread::yield_now` in the
 /// classic one-thread-per-place mode.

@@ -190,20 +190,25 @@ mod tests {
                 f2.store(1, Ordering::SeqCst);
             }),
         );
-        // Long resweep: without the explicit wake the run would take ~1s.
-        let pool = Arc::new(ExecutorPool::new(vec![ctx], 1, Duration::from_secs(1)));
+        // A resweep far beyond any test run: once the executor sleeps, only
+        // the explicit wake can finish the context.
+        let pool = Arc::new(ExecutorPool::new(vec![ctx], 1, Duration::from_secs(3600)));
         let p2 = pool.clone();
-        let h = std::thread::spawn(move || p2.run_executor(0));
-        std::thread::sleep(Duration::from_millis(30));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            p2.run_executor(0);
+            let _ = done_tx.send(());
+        });
+        while pool.sleepers.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
         gate.store(1, Ordering::SeqCst);
-        let start = std::time::Instant::now();
         pool.wake_slot(0);
-        h.join().unwrap();
+        // The timeout only tells a lost wake from a slow host.
+        done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("wake_slot did not rouse the sleeping executor");
         assert_eq!(fired.load(Ordering::SeqCst), 1);
-        assert!(
-            start.elapsed() < Duration::from_millis(900),
-            "wake_slot did not rouse the sleeping executor"
-        );
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! | `PlaceGroup.broadcastFlat` | [`PlaceGroup::broadcast`] (spawning tree) |
 //! | `Array.asyncCopy` | [`GlobalRail::async_copy_to`] on [`GlobalRail`] |
 //!
-//! Every place runs its own scheduler thread(s); *all* semantics-bearing
+//! Every place runs its own single-worker scheduler; *all* semantics-bearing
 //! inter-place interaction flows through the [`x10rt`] transport as
 //! messages, so the distributed-termination-detection protocols of §3.1
 //! (the paper's headline runtime contribution) execute the same message
@@ -57,7 +57,6 @@ pub(crate) mod place_state;
 pub mod rail;
 pub mod runtime;
 pub mod status;
-pub mod step;
 pub mod team;
 pub mod wire;
 pub(crate) mod worker;
@@ -72,7 +71,6 @@ pub use place_group::PlaceGroup;
 pub use rail::GlobalRail;
 pub use runtime::{FinishResidue, Runtime};
 pub use status::StatusHandle;
-pub use step::StepGate;
 pub use team::{Team, TeamOp};
 pub use worker::panic_message;
 pub use x10rt::{

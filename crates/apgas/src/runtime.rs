@@ -1,11 +1,11 @@
 //! Runtime construction, the main activity, and shutdown.
 
 use crate::config::Config;
+use crate::context::PlaceContext;
 use crate::ctx::Ctx;
 use crate::error::ApgasError;
 use crate::finish::Attach;
 use crate::place_state::{Activity, PlaceState};
-use crate::step::StepGate;
 use crate::worker::{TaskFn, Worker};
 use obs::Obs;
 use parking_lot::{Mutex, RwLock};
@@ -53,11 +53,6 @@ pub struct Global {
     /// Observability state (metrics + tracer); `None` with
     /// `Config::obs_disable` — every hook then reduces to this `None` check.
     pub obs: Option<Arc<Obs>>,
-    /// Deterministic stepping gate; `Some` only with
-    /// [`Config::deterministic`]. Workers then yield to it at the top of
-    /// every scheduling quantum (see [`crate::step`]); the threaded path
-    /// pays one `Option` check.
-    pub step_gate: Option<Arc<StepGate>>,
     /// Application command handlers, keyed by handler id (ids ≥
     /// [`HandlerId::FIRST_APP`]; see `PROTOCOL.md` §3). Resolved at command
     /// *run* time, so registration order relative to spawns is free.
@@ -164,7 +159,8 @@ impl FinishResidue {
 }
 
 /// An APGAS runtime: `cfg.places` places, each with its own scheduler
-/// thread(s), connected by an in-process X10RT transport.
+/// (an OS thread, or a context on the executor pool or under the schedule
+/// controller), connected by an in-process X10RT transport.
 ///
 /// The runtime is reusable: [`Runtime::run`] can be called repeatedly (the
 /// benchmark harness runs many rounds on one runtime). Dropping the runtime
@@ -172,6 +168,10 @@ impl FinishResidue {
 pub struct Runtime {
     g: Arc<Global>,
     handles: Mutex<Vec<JoinHandle<()>>>,
+    /// Deterministic mode: the hosted places' contexts, indexed by place id
+    /// minus the first hosted place. Only [`Runtime::step`] and shutdown
+    /// resume them; no executor thread exists. Empty otherwise.
+    stepped: Vec<Arc<PlaceContext>>,
     /// Background metrics sampler, when `Config::sample_interval_ms` asked
     /// for one (stopped and joined on drop).
     sampler: Mutex<Option<obs::Sampler>>,
@@ -200,20 +200,6 @@ impl Runtime {
     fn build(cfg: Config, external: Option<Arc<dyn Transport>>) -> Self {
         assert!(cfg.places > 0, "need at least one place");
         assert!(cfg.places <= u32::MAX as usize, "place ids are 32-bit");
-        if cfg.deterministic {
-            assert_eq!(
-                cfg.workers_per_place, 1,
-                "deterministic mode grants quanta per place, so it requires \
-                 exactly one worker per place"
-            );
-        }
-        if cfg.executor_threads.is_some() {
-            assert_eq!(
-                cfg.workers_per_place, 1,
-                "M:N scheduling runs each place as one context, so it \
-                 requires exactly one worker per place"
-            );
-        }
         let topo = Topology::new(cfg.places, cfg.places_per_host);
         let obs = if cfg.obs_disable {
             None
@@ -270,11 +256,6 @@ impl Runtime {
             transport.register_waker(p.id, Arc::new(move || ps.wake()));
         }
         let seg_table = Arc::new(SegmentTable::new());
-        let step_gate = if cfg.deterministic {
-            Some(Arc::new(StepGate::new()))
-        } else {
-            None
-        };
         let g = Arc::new(Global {
             congruent: CongruentAllocator::new(cfg.places, seg_table.clone()),
             topo,
@@ -286,7 +267,6 @@ impl Runtime {
             ids: AtomicU64::new(1),
             uncounted_panics: Mutex::new(Vec::new()),
             obs,
-            step_gate,
             handlers: RwLock::new(HashMap::new()),
             obs_plane: crate::status::ObsPlane::new(),
             cfg,
@@ -298,47 +278,32 @@ impl Runtime {
             .host_places
             .map(|(s, c)| (s as usize, c as usize))
             .unwrap_or((0, g.cfg.places));
+        let hosted = host_start..host_start + host_count;
         let mut handles = Vec::new();
-        if let Some(threads) = g.cfg.executor_threads {
+        let mut stepped = Vec::new();
+        if g.cfg.deterministic {
+            // Deterministic mode: every hosted place is a context that only
+            // the schedule controller resumes, one quantum per
+            // `Runtime::step`, on its own thread. `executor_threads` is
+            // ignored: no executor may run a place behind its back.
+            stepped = place_contexts(&g, hosted);
+        } else if let Some(threads) = g.cfg.executor_threads {
             // M:N mode: each hosted place becomes a stackful context; a
             // fixed pool of executor threads multiplexes them (see the
             // `context` and `executor` modules and DESIGN.md §"M:N place
             // scheduling"). Place counts and core counts are decoupled.
-            let contexts: Vec<Arc<crate::context::PlaceContext>> = (host_start
-                ..host_start + host_count)
-                .map(|i| {
-                    let g2 = g.clone();
-                    let place = g.places[i].clone();
-                    crate::context::PlaceContext::new(
-                        g.cfg.context_stack_size,
-                        Box::new(move || Worker::new(g2, place).main_loop()),
-                    )
-                })
-                .collect();
             let pool = Arc::new(crate::executor::ExecutorPool::new(
-                contexts,
+                place_contexts(&g, hosted.clone()),
                 threads,
                 g.cfg.park_timeout,
             ));
             // Route every hosted place's wake to the pool *before* any
             // executor runs: enqueues, deliveries and shutdown all funnel
             // through `PlaceState::wake`.
-            for (slot, i) in (host_start..host_start + host_count).enumerate() {
+            for (slot, i) in hosted.enumerate() {
                 let p2 = pool.clone();
                 let _ = g.places[i].mplex_waker.set(Arc::new(move || {
                     p2.wake_slot(slot);
-                }));
-            }
-            // Deterministic M:N: a grant must rouse the granted context —
-            // it polls the gate instead of blocking in step_wait.
-            if let Some(gate) = &g.step_gate {
-                let p2 = pool.clone();
-                gate.set_grant_hook(Box::new(move |place| {
-                    if let Some(slot) = (place as usize).checked_sub(host_start) {
-                        if slot < host_count {
-                            p2.wake_slot(slot);
-                        }
-                    }
                 }));
             }
             for t in 0..threads {
@@ -351,27 +316,26 @@ impl Runtime {
                 );
             }
         } else {
-            for i in host_start..host_start + host_count {
-                for w in 0..g.cfg.workers_per_place {
-                    let g2 = g.clone();
-                    let place = g.places[i].clone();
-                    handles.push(
-                        std::thread::Builder::new()
-                            .name(format!("place-{i}.{w}"))
-                            // Help-first waiting nests activity frames on the
-                            // worker stack; give it room.
-                            .stack_size(16 * 1024 * 1024)
-                            .spawn(move || {
-                                Worker::new(g2, place).main_loop();
-                            })
-                            .expect("spawn worker thread"),
-                    );
-                }
+            for i in hosted {
+                let g2 = g.clone();
+                let place = g.places[i].clone();
+                handles.push(
+                    std::thread::Builder::new()
+                        .name(format!("place-{i}"))
+                        // Help-first waiting nests activity frames on the
+                        // worker stack; give it room.
+                        .stack_size(16 * 1024 * 1024)
+                        .spawn(move || {
+                            Worker::new(g2, place).main_loop();
+                        })
+                        .expect("spawn worker thread"),
+                );
             }
         }
         Runtime {
             g,
             handles: Mutex::new(handles),
+            stepped,
             sampler: Mutex::new(sampler),
         }
     }
@@ -444,23 +408,11 @@ impl Runtime {
     /// `finish`, as in X10) and return its result. Panics from `f` or from
     /// any activity it transitively governs propagate to the caller.
     pub fn run<R: Send + 'static>(&self, f: impl FnOnce(&Ctx) -> R + Send + 'static) -> R {
-        assert!(
-            self.hosts_place(PlaceId(0)),
-            "run() enqueues at place 0, which this process does not host — \
-             non-zero ranks call serve()"
-        );
-        let (tx, rx) = crossbeam_channel::bounded(1);
-        let body: TaskFn = Box::new(move |ctx: &Ctx| {
-            let result = catch_unwind(AssertUnwindSafe(|| ctx.finish(|c| f(c))));
-            let _ = tx.send(result);
-        });
-        self.g.places[0].enqueue(Activity {
-            body,
-            attach: Attach::Uncounted,
-            cause: None,
-            cause_remote: false,
-        });
-        match rx.recv().expect("runtime workers terminated unexpectedly") {
+        match self
+            .start(f)
+            .recv()
+            .expect("runtime workers terminated unexpectedly")
+        {
             Ok(r) => r,
             Err(e) => resume_unwind(e),
         }
@@ -474,6 +426,34 @@ impl Runtime {
         &self,
         f: impl FnOnce(&Ctx) -> R + Send + 'static,
     ) -> Result<R, ApgasError> {
+        match self
+            .start(f)
+            .recv()
+            .expect("runtime workers terminated unexpectedly")
+        {
+            Ok(r) => Ok(r),
+            Err(e) => match ApgasError::from_panic(&*e) {
+                Some(err) => Err(err),
+                None => resume_unwind(e),
+            },
+        }
+    }
+
+    /// Enqueue `f` as the main activity at place 0, under an implicit root
+    /// `finish`, and return at once. The receiver yields the activity's
+    /// outcome — its value, or the panic that escaped it — when it ends.
+    /// [`Runtime::run`] and [`Runtime::run_checked`] block on it; a
+    /// schedule controller, which must keep stepping the places meanwhile,
+    /// polls it.
+    pub fn start<R: Send + 'static>(
+        &self,
+        f: impl FnOnce(&Ctx) -> R + Send + 'static,
+    ) -> crossbeam_channel::Receiver<std::thread::Result<R>> {
+        assert!(
+            self.hosts_place(PlaceId(0)),
+            "the main activity runs at place 0, which this process does not \
+             host — non-zero ranks call serve()"
+        );
         let (tx, rx) = crossbeam_channel::bounded(1);
         let body: TaskFn = Box::new(move |ctx: &Ctx| {
             let result = catch_unwind(AssertUnwindSafe(|| ctx.finish(|c| f(c))));
@@ -485,13 +465,7 @@ impl Runtime {
             cause: None,
             cause_remote: false,
         });
-        match rx.recv().expect("runtime workers terminated unexpectedly") {
-            Ok(r) => Ok(r),
-            Err(e) => match ApgasError::from_panic(&*e) {
-                Some(err) => Err(err),
-                None => resume_unwind(e),
-            },
-        }
+        rx
     }
 
     /// Kill `place`: its mailbox black-holes, and sends to or from it fail
@@ -793,11 +767,36 @@ impl Runtime {
         std::mem::take(&mut self.g.uncounted_panics.lock())
     }
 
-    /// The deterministic stepping gate, when the runtime was built with
-    /// [`Config::deterministic`]. The schedule controller (the `sim` crate)
-    /// drives workers through it.
-    pub fn step_gate(&self) -> Option<&Arc<StepGate>> {
-        self.g.step_gate.as_ref()
+    /// Deterministic mode: run one scheduling quantum of `place` on the
+    /// calling thread. The place's context resumes where its worker last
+    /// yielded — the top of `run_one` — and runs until it gets there again,
+    /// so every `wait_until` re-check and activity body happens inside some
+    /// quantum and the schedule controller (the `sim` crate) decides the
+    /// whole interleaving. Returns `false` once the runtime is shutting
+    /// down (a worker died, or shutdown was requested): the quantum may
+    /// have been cut short and the schedule is over.
+    ///
+    /// Panics unless the runtime was built with [`Config::deterministic`]
+    /// and hosts `place`.
+    pub fn step(&self, place: PlaceId) -> bool {
+        let first = self.g.cfg.host_places.map_or(0, |(s, _)| s);
+        let ctx = place
+            .0
+            .checked_sub(first)
+            .and_then(|slot| self.stepped.get(slot as usize))
+            .expect("step() needs a Config::deterministic runtime that hosts the place");
+        if self.g.shutdown.load(Ordering::Acquire) {
+            return false;
+        }
+        assert!(
+            !ctx.claimed.swap(true, Ordering::AcqRel),
+            "{place} is already being stepped on another thread"
+        );
+        if !ctx.finished() {
+            ctx.resume();
+        }
+        ctx.claimed.store(false, Ordering::Release);
+        !self.g.shutdown.load(Ordering::Acquire)
     }
 
     /// Does `place` have local work — a queued activity, an undrained
@@ -855,35 +854,54 @@ impl Runtime {
     }
 
     /// Initiate shutdown without dropping the runtime: sets the shutdown
-    /// flag, permanently releases the stepping gate (if any), and wakes all
-    /// workers. Blocked `wait_until`s abort with the runtime-shutdown panic;
-    /// the schedule controller uses this to convert a detected deadlock into
-    /// a clean teardown instead of a hang.
+    /// flag, wakes all workers and, in deterministic mode, runs every
+    /// stepped context to its end on the calling thread. Blocked
+    /// `wait_until`s abort with the runtime-shutdown panic; the schedule
+    /// controller uses this to convert a detected deadlock into a clean
+    /// teardown instead of a hang.
     pub fn request_shutdown(&self) {
-        self.g
-            .shutdown
-            .store(true, std::sync::atomic::Ordering::Release);
-        if let Some(gate) = &self.g.step_gate {
-            gate.release_all();
-        }
+        self.g.shutdown.store(true, Ordering::Release);
         for p in &self.g.places {
             p.wake();
+        }
+        self.drain_stepped();
+    }
+
+    /// Deterministic mode: with the shutdown flag set, resume every stepped
+    /// context until its worker has unwound out of its waits and left its
+    /// loop. A context another thread is stepping right now is skipped
+    /// (`Drop` drains it).
+    fn drain_stepped(&self) {
+        for ctx in &self.stepped {
+            if ctx.claimed.swap(true, Ordering::AcqRel) {
+                continue;
+            }
+            while !ctx.finished() {
+                ctx.resume();
+            }
+            ctx.claimed.store(false, Ordering::Release);
         }
     }
 }
 
+/// One stackful context per place in `hosted`, each running that place's
+/// worker loop (M:N and deterministic modes).
+fn place_contexts(g: &Arc<Global>, hosted: std::ops::Range<usize>) -> Vec<Arc<PlaceContext>> {
+    hosted
+        .map(|i| {
+            let g2 = g.clone();
+            let place = g.places[i].clone();
+            PlaceContext::new(
+                g.cfg.context_stack_size,
+                Box::new(move || Worker::new(g2, place).main_loop()),
+            )
+        })
+        .collect()
+}
+
 impl Drop for Runtime {
     fn drop(&mut self) {
-        self.g
-            .shutdown
-            .store(true, std::sync::atomic::Ordering::Release);
-        if let Some(gate) = &self.g.step_gate {
-            // Free-run the workers so teardown never waits on a controller.
-            gate.release_all();
-        }
-        for p in &self.g.places {
-            p.wake();
-        }
+        self.request_shutdown();
         for h in self.handles.lock().drain(..) {
             let _ = h.join();
         }

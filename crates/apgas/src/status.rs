@@ -129,9 +129,10 @@ pub(crate) fn report_text(g: &Global) -> String {
         start,
         start + count,
         g.cfg.places,
-        match g.cfg.executor_threads {
-            Some(t) => format!("M:N, {t} executor threads"),
-            None => format!("{} worker(s)/place", g.cfg.workers_per_place),
+        match (g.cfg.deterministic, g.cfg.executor_threads) {
+            (true, _) => "deterministic, stepped by the schedule controller".to_string(),
+            (false, Some(t)) => format!("M:N, {t} executor threads"),
+            (false, None) => "one thread per place".to_string(),
         }
     );
     let _ = writeln!(

@@ -1,7 +1,8 @@
 //! The per-place scheduler: message pumping, activity execution, and
 //! **help-first waiting**.
 //!
-//! Every place runs one (or more) worker threads. A worker alternates
+//! Every place runs one worker: an OS thread, or a context on the executor
+//! pool or under the schedule controller. A worker alternates
 //! between draining its transport mailbox (converting task messages into
 //! queued activities and handling termination-control traffic inline) and
 //! executing queued activities. Blocking constructs — a `finish` waiting
@@ -100,7 +101,7 @@ impl SpawnBody {
     }
 }
 
-/// A worker thread of one place.
+/// The worker of one place.
 pub struct Worker {
     /// Shared runtime state.
     pub g: Arc<Global>,
@@ -132,6 +133,9 @@ pub struct Worker {
     /// place context, so idle waits yield the context to its executor
     /// instead of spinning or condvar-sleeping the thread.
     mplex: bool,
+    /// Deterministic mode: set when the first quantum starts. Every later
+    /// `run_one` hands its thread back to the schedule controller first.
+    stepped: Cell<bool>,
 }
 
 /// A worker's resolved observability handles: its trace ring plus the shared
@@ -147,6 +151,7 @@ struct WorkerHooks {
     drain_depth: Histogram,
     send_failed: Counter,
     stray_ctl: Counter,
+    peer_faults: Counter,
     watchdog_fired: Counter,
 }
 
@@ -205,9 +210,10 @@ impl Worker {
             ),
             send_failed: o.metrics.counter(obs::names::TRANSPORT_SEND_FAILED),
             stray_ctl: o.metrics.counter(obs::names::FINISH_STRAY_CTL),
+            peer_faults: o.metrics.counter(obs::names::WIRE_PEER_FAULTS),
             watchdog_fired: o.metrics.counter(obs::names::FINISH_WATCHDOG_FIRED),
         });
-        let mplex = g.cfg.executor_threads.is_some();
+        let mplex = g.cfg.executor_threads.is_some() && !g.cfg.deterministic;
         Worker {
             g,
             place,
@@ -218,6 +224,7 @@ impl Worker {
             current_cause: Cell::new(None),
             hooks,
             mplex,
+            stepped: Cell::new(false),
         }
     }
 
@@ -268,12 +275,12 @@ impl Worker {
 
     /// Scheduler loop: run until global shutdown.
     pub fn main_loop(&self) {
-        if self.g.step_gate.is_some() {
+        if self.g.cfg.deterministic {
             // Deterministic mode: a worker panic escaping an activity (a
             // protocol-bug assertion such as the stray-FinishCtl check)
-            // would otherwise kill this thread silently and strand the
-            // schedule controller waiting for a quantum that never
-            // completes. Record it and convert it into a clean shutdown.
+            // would otherwise end this place silently while the schedule
+            // controller keeps stepping it. Record it and convert it into a
+            // clean shutdown, which `Runtime::step` reports.
             if let Err(e) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 self.loop_body();
             })) {
@@ -283,9 +290,6 @@ impl Worker {
                     panic_message(e)
                 ));
                 self.g.shutdown.store(true, Ordering::Release);
-                if let Some(gate) = &self.g.step_gate {
-                    gate.release_all();
-                }
                 for p in &self.g.places {
                     p.wake();
                 }
@@ -296,21 +300,21 @@ impl Worker {
     }
 
     /// Bracket one `Ctx::probe` pump. Deterministic mode only: while the
-    /// probing activity is paused at the step gate, its place still has
+    /// probing activity is paused between quanta, its place still has
     /// runnable application work even with every queue empty, and
     /// `Runtime::place_has_work` must keep reporting it so the schedule
     /// controller grants the quanta that advance it. (A `wait_until` pause
     /// deliberately does NOT set this — only a delivery can unblock it, and
     /// marking it runnable would make true deadlocks undetectable.)
     pub fn begin_probe(&self) {
-        if self.g.step_gate.is_some() {
+        if self.g.cfg.deterministic {
             self.place.probing.fetch_add(1, Ordering::AcqRel);
         }
     }
 
     /// See [`Worker::begin_probe`].
     pub fn end_probe(&self) {
-        if self.g.step_gate.is_some() {
+        if self.g.cfg.deterministic {
             self.place.probing.fetch_sub(1, Ordering::AcqRel);
         }
     }
@@ -330,27 +334,15 @@ impl Worker {
     /// progress was made. Ends with a flush: nothing this quantum sent stays
     /// buffered into the next one.
     pub fn run_one(&self) -> bool {
-        if let Some(gate) = &self.g.step_gate {
+        if self.g.cfg.deterministic && self.stepped.replace(true) {
             // Deterministic mode: the quantum boundary sits here, at the
             // top of run_one, so every `wait_until` condition re-check and
-            // every activity body runs while this worker holds the baton.
-            if self.mplex {
-                // M:N: poll the baton instead of blocking — the executor
-                // thread must stay free to run the granted place's context.
-                // The gate's grant hook marks this context runnable again.
-                loop {
-                    match gate.try_step(self.here.0) {
-                        crate::step::TryStep::Granted | crate::step::TryStep::Released => break,
-                        crate::step::TryStep::NotGranted => {
-                            if !crate::context::yield_now() {
-                                std::thread::yield_now();
-                            }
-                        }
-                    }
-                }
-            } else {
-                gate.step_wait(self.here.0);
-            }
+            // every activity body runs inside a quantum the schedule
+            // controller chose. Hand the thread back to it; `Runtime::step`
+            // resumes this context for the next quantum. The first quantum
+            // starts without yielding: the step that booted the context is
+            // that quantum's grant.
+            crate::context::yield_now();
         }
         let handled = self.drain_messages(256);
         let progress = if let Some(act) = self.pop_activity() {
@@ -536,10 +528,10 @@ impl Worker {
     fn park_brief(&self) {
         // Never sleep on buffered sends: a peer may be waiting on them.
         self.flush_sends();
-        // Deterministic mode: never condvar-sleep — the next run_one blocks
-        // on the stepping gate anyway, and sleeping here would deadlock
-        // against a controller that only wakes workers through grants.
-        if self.g.step_gate.is_some() {
+        // Deterministic mode: never sleep — the next run_one yields to the
+        // schedule controller anyway, and the controller is the thread this
+        // context runs on.
+        if self.g.cfg.deterministic {
             return;
         }
         // M:N mode: never block the executor thread and skip the spin
@@ -730,9 +722,10 @@ impl Worker {
         }
     }
 
-    /// Dispatch a serialized [`WireMsg`] (see `PROTOCOL.md`). Decode
-    /// failures here mean a peer violated the protocol; they panic with the
-    /// typed decode error rather than limping on with garbage.
+    /// Dispatch a serialized [`WireMsg`] (see `PROTOCOL.md`). A message this
+    /// place cannot act on — undecodable arguments, an unknown handler id, a
+    /// closure spawn without its closure — means the sender violated the
+    /// protocol: it is refused via [`Worker::peer_fault`], never panicked on.
     fn handle_wire(&self, from: PlaceId, class: MsgClass, causal: Option<CausalId>, w: WireMsg) {
         let WireMsg {
             handler,
@@ -741,15 +734,21 @@ impl Worker {
         } = w;
         match handler {
             codec::H_SPAWN => {
-                let (attach, body) = wire::decode_spawn(&args)
-                    .unwrap_or_else(|e| panic!("malformed H_SPAWN from {from}: {e}"));
+                let (attach, body) = match wire::decode_spawn(&args) {
+                    Ok(spawn) => spawn,
+                    Err(e) => return self.peer_fault(from, format_args!("malformed H_SPAWN: {e}")),
+                };
                 let body = match body {
                     wire::SpawnWireBody::Closure => {
-                        let cell = inline
-                            .expect("closure-bodied spawn lost its inline part")
-                            .downcast::<ClosureCell>()
-                            .expect("spawn inline part must be a ClosureCell");
-                        cell.0
+                        match inline.and_then(|i| i.downcast::<ClosureCell>().ok()) {
+                            Some(cell) => cell.0,
+                            None => {
+                                return self.peer_fault(
+                                    from,
+                                    format_args!("closure-bodied H_SPAWN without its closure"),
+                                )
+                            }
+                        }
                     }
                     wire::SpawnWireBody::Cmd { handler, args } => {
                         SpawnBody::Cmd { handler, args }.into_task()
@@ -767,21 +766,18 @@ impl Worker {
                     cause_remote: true,
                 });
             }
-            codec::H_FINISH => {
-                let msg = wire::decode_finish_msg(&args)
-                    .unwrap_or_else(|e| panic!("malformed H_FINISH from {from}: {e}"));
-                self.with_inline_cause(causal, || self.handle_finish_msg(msg));
-            }
-            codec::H_TEAM => {
-                let msg = wire::decode_team_wire(&args, inline)
-                    .unwrap_or_else(|e| panic!("malformed H_TEAM from {from}: {e}"));
-                self.with_inline_cause(causal, || self.place.team.lock().deliver(msg));
-            }
-            codec::H_CLOCK => {
-                let msg = wire::decode_clock_msg(&args)
-                    .unwrap_or_else(|e| panic!("malformed H_CLOCK from {from}: {e}"));
-                self.with_inline_cause(causal, || crate::clock::handle_msg(self, msg));
-            }
+            codec::H_FINISH => match wire::decode_finish_msg(&args) {
+                Ok(msg) => self.with_inline_cause(causal, || self.handle_finish_msg(msg)),
+                Err(e) => self.peer_fault(from, format_args!("malformed H_FINISH: {e}")),
+            },
+            codec::H_TEAM => match wire::decode_team_wire(&args, inline) {
+                Ok(msg) => self.with_inline_cause(causal, || self.place.team.lock().deliver(msg)),
+                Err(e) => self.peer_fault(from, format_args!("malformed H_TEAM: {e}")),
+            },
+            codec::H_CLOCK => match wire::decode_clock_msg(&args) {
+                Ok(msg) => self.with_inline_cause(causal, || crate::clock::handle_msg(self, msg)),
+                Err(e) => self.peer_fault(from, format_args!("malformed H_CLOCK: {e}")),
+            },
             codec::H_SHUTDOWN => {
                 // A remote process is tearing the launch down; ship this
                 // process's observability snapshot back to the initiator
@@ -793,20 +789,42 @@ impl Worker {
                     p.wake();
                 }
             }
-            codec::H_OBS => {
-                let msg = wire::decode_obs_msg(&args)
-                    .unwrap_or_else(|e| panic!("malformed H_OBS from {from}: {e}"));
-                self.handle_obs_msg(msg);
-            }
+            codec::H_OBS => match wire::decode_obs_msg(&args) {
+                Ok(msg) => self.handle_obs_msg(msg),
+                Err(e) => self.peer_fault(from, format_args!("malformed H_OBS: {e}")),
+            },
             h => {
                 debug_assert!(class != MsgClass::Batch, "batch reached handle_wire");
-                panic!(
-                    "unknown handler id #{} in a {}-class message from {from} — \
-                     app commands must ride inside H_SPAWN",
-                    h.0,
-                    class.label()
+                self.peer_fault(
+                    from,
+                    format_args!(
+                        "unknown handler id #{} in a {}-class message \
+                         (app commands must ride inside H_SPAWN)",
+                        h.0,
+                        class.label()
+                    ),
                 );
             }
+        }
+    }
+
+    /// Refuse a message that violates the protocol: count it, report it,
+    /// and kill its sender. A peer that sends garbage cannot be trusted with
+    /// the rest of its protocol state either, so it takes the dead-place
+    /// path: finishes waiting on it end through the watchdog or resilient
+    /// adoption, and this place keeps running.
+    fn peer_fault(&self, from: PlaceId, what: std::fmt::Arguments) {
+        if let Some(h) = &self.hooks {
+            h.peer_faults.inc(self.here.0);
+            h.trace.instant("wire", "peer_fault", from.0 as u64);
+        }
+        eprintln!(
+            "[apgas] {} refused a message from {from} and killed it: {what}",
+            self.here
+        );
+        self.g.transport.kill_place(from);
+        for p in &self.g.places {
+            p.wake();
         }
     }
 

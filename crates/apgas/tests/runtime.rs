@@ -3,7 +3,7 @@
 //! properties.
 
 use apgas::{Config, FinishKind, MsgClass, PlaceId, Runtime};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn rt(places: usize) -> Runtime {
@@ -326,29 +326,40 @@ fn finish_waits_even_when_body_panics() {
 
 #[test]
 fn atomic_sections_are_exclusive() {
-    // Many local activities increment a plain (non-atomic) counter under
-    // ctx.atomic — the result must be exact.
-    let rt = Runtime::new(Config::new(1).workers_per_place(4));
-    #[allow(clippy::arc_with_non_send_sync)] // Wrap supplies the (checked) Sync
-    let total = rt.run(|ctx| {
-        let counter = Arc::new(std::cell::UnsafeCell::new(0u64));
-        struct Wrap(Arc<std::cell::UnsafeCell<u64>>);
-        unsafe impl Send for Wrap {}
-        unsafe impl Sync for Wrap {}
-        let w = Arc::new(Wrap(counter.clone()));
-        ctx.finish(|c| {
-            for _ in 0..64 {
-                let w = w.clone();
-                c.spawn(move |cc| {
-                    for _ in 0..100 {
-                        cc.atomic(|| unsafe { *w.0.get() += 1 });
+    // Activities from every place land at place 0 and increment a plain
+    // (non-atomic) counter under ctx.atomic, with places as threads and as
+    // contexts migrating between two executors. The total must be exact
+    // and no section may see another one open.
+    for cfg in [Config::new(4), Config::new(4).executor_threads(2)] {
+        let rt = Runtime::new(cfg);
+        let total = rt.run(|ctx| {
+            struct Wrap(std::cell::UnsafeCell<u64>, AtomicBool);
+            unsafe impl Send for Wrap {}
+            unsafe impl Sync for Wrap {}
+            let w = Arc::new(Wrap(std::cell::UnsafeCell::new(0), AtomicBool::new(false)));
+            let home = ctx.here();
+            ctx.finish(|c| {
+                for p in c.places() {
+                    for _ in 0..16 {
+                        let w = w.clone();
+                        c.at_async(p, move |cc| {
+                            cc.at_async(home, move |h| {
+                                for _ in 0..100 {
+                                    h.atomic(|| {
+                                        assert!(!w.1.swap(true, Ordering::SeqCst), "overlap");
+                                        unsafe { *w.0.get() += 1 };
+                                        w.1.store(false, Ordering::SeqCst);
+                                    });
+                                }
+                            });
+                        });
                     }
-                });
-            }
+                }
+            });
+            unsafe { *w.0.get() }
         });
-        unsafe { *counter.get() }
-    });
-    assert_eq!(total, 6400);
+        assert_eq!(total, 4 * 16 * 100);
+    }
 }
 
 #[test]

@@ -119,6 +119,12 @@ pub const TRANSPORT_SEND_FAILED: &str = "transport.send_failed";
 /// watchdog abandoned the finish — stragglers are counted and ignored.
 pub const FINISH_STRAY_CTL: &str = "finish.stray_ctl";
 
+/// Counter: wire messages refused as protocol violations by their sender —
+/// undecodable arguments, an unknown handler id, a closure spawn without its
+/// closure (unit: messages). Each one also kills the sender, so the fault
+/// surfaces as a dead place instead of a crashed receiver.
+pub const WIRE_PEER_FAULTS: &str = "wire.peer_faults";
+
 /// Counter: liveness watchdogs fired — a blocked `finish` made no progress
 /// for the configured window and surfaced a `DeadPlace` error instead of
 /// hanging (unit: firings).

@@ -1,9 +1,10 @@
 //! The schedule controller: single-steps a deterministic runtime.
 //!
-//! The controller and the runtime's workers pass a baton
-//! ([`apgas::StepGate`]): workers only run inside granted quanta, so between
-//! controller actions *nothing* in the runtime moves. Each iteration the
-//! controller enumerates the **enabled actions** —
+//! Every place of a deterministic runtime is a context that only the
+//! controller resumes, on the controller's own thread, one scheduling
+//! quantum per [`Runtime::step`]. Between controller actions *nothing* in
+//! the runtime moves. Each iteration the controller enumerates the
+//! **enabled actions** —
 //!
 //! * `Deliver(channel)` for every nonempty in-flight channel of the
 //!   [`SimTransport`], and
@@ -11,46 +12,30 @@
 //!   queue —
 //!
 //! asks the [`Chooser`] to pick one, and performs it. When no action is
-//! enabled the run has either quiesced (the workload thread reported done)
-//! or deadlocked; deadlock converts into a clean shutdown, not a hang.
+//! enabled the run has either quiesced (the main activity ended) or
+//! deadlocked; deadlock converts into a clean shutdown, not a hang.
 //!
-//! Determinism argument: the enabled set is computed from state only the
-//! controller mutates (in-flight channels) or that workers mutate strictly
-//! inside granted quanta (queues, mailboxes via drains); its enumeration
-//! order is sorted; and the `done` flag is only consulted when no actions
-//! remain, so the workload thread's asynchronous completion cannot steer a
-//! single choice. Hence the whole run is a pure function of
-//! `(workload, chooser)` — which is the record/replay property.
+//! Determinism argument: the controller's thread is the only one that runs
+//! places, the main activity included, so the runtime's state changes only
+//! inside the actions it performs. The enabled set is computed from that
+//! state; its enumeration order is sorted; and whether the main activity
+//! has ended is only consulted when no actions remain. Hence the whole run
+//! is a pure function of `(workload, chooser)` — which is the record/replay
+//! property.
 
 use crate::schedule::Chooser;
 use crate::transport::{ChannelKey, SimTransport};
 use apgas::runtime::FinishResidue;
 use apgas::{ApgasError, Config, Ctx, Runtime};
-use parking_lot::Mutex;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use x10rt::{MsgClass, PlaceId, Transport};
 
 /// Tunables for one simulated run.
 #[derive(Clone, Copy, Debug)]
 pub struct SimOpts {
-    /// Schedule budget: total actions (grants + deliveries) before the run
+    /// Schedule budget: total actions (steps + deliveries) before the run
     /// is abandoned with [`RunVerdict::Budget`].
     pub max_steps: u64,
-    /// How long to wait for the workload *thread* to report completion when
-    /// the body has already finished (it is runnable, just not yet
-    /// scheduled by the OS), or for the main activity to be enqueued at
-    /// startup. Generous because hitting it is an OS-scheduling stall, not
-    /// a protocol property.
-    pub stall_ms: u64,
-    /// How long to keep polling before declaring deadlock when no action is
-    /// enabled and the workload body has *not* finished. The body can only
-    /// be unblocked by a delivery, so this is provably a deadlock; the
-    /// small grace only covers a panic unwinding through the workload
-    /// thread. Kept short so failure-hunting (mutation testing, fault
-    /// exploration) stays fast.
-    pub deadlock_grace_ms: u64,
     /// Adversarial-kill budget: how many `Kill(place)` actions the
     /// controller may offer the chooser. While budget remains, a kill of
     /// every still-alive non-zero place is enabled at *every* decision
@@ -64,8 +49,6 @@ impl Default for SimOpts {
     fn default() -> Self {
         SimOpts {
             max_steps: 100_000,
-            stall_ms: 5_000,
-            deadlock_grace_ms: 100,
             kill_budget: 0,
         }
     }
@@ -81,8 +64,8 @@ pub enum RunVerdict {
     Deadlock,
     /// The schedule budget ran out first.
     Budget,
-    /// The stepping gate was released under the controller — a worker died
-    /// (protocol-bug panic) or shutdown was requested externally.
+    /// The runtime began shutting down under the controller — a worker
+    /// died (protocol-bug panic) or shutdown was requested externally.
     Aborted,
 }
 
@@ -140,29 +123,21 @@ fn enabled(rt: &Runtime, sim: &SimTransport, kills_left: u32) -> Vec<Action> {
     acts
 }
 
-/// Drive `rt` (built deterministic over `sim`) until the workload reports
+/// Drive `rt` (built deterministic over `sim`) until the main activity is
 /// `done`, deadlock, budget exhaustion, or abort. See the module docs for
 /// the determinism argument.
-pub fn drive(
+fn drive(
     rt: &Runtime,
     sim: &SimTransport,
     chooser: &mut Chooser,
     opts: &SimOpts,
-    done: &AtomicBool,
-    main_done: &AtomicBool,
+    done: &dyn Fn() -> bool,
 ) -> ScheduleReport {
-    let gate = rt
-        .step_gate()
-        .expect("drive() needs a Config::deterministic runtime")
-        .clone();
     let mut steps = 0u64;
     let mut deliveries = 0u64;
     let mut kills = 0u32;
     let mut kills_left = opts.kill_budget;
     let verdict = loop {
-        if gate.is_released() {
-            break RunVerdict::Aborted;
-        }
         let acts = enabled(rt, sim, kills_left);
         if acts.is_empty() {
             // A fault layer may be holding delayed envelopes (or unfired
@@ -184,41 +159,13 @@ pub fn drive(
                     continue;
                 }
             }
-            if done.load(Ordering::Acquire) {
-                break RunVerdict::Completed;
-            }
-            // Nothing enabled and the workload hasn't reported completion.
-            // Three cases: (1) the body finished inside its last quantum
-            // (`main_done`) and its thread just hasn't stored `done` yet —
-            // wait generously, the thread is runnable; (2) startup
-            // (steps == 0), the main activity isn't enqueued yet — same;
-            // (3) the body is blocked and only a delivery could unblock it,
-            // but none is in flight — deadlock, after a short grace for a
-            // panic that may be unwinding. Polling here never consumes a
-            // choice, so timing cannot perturb the schedule.
-            let patient = main_done.load(Ordering::Acquire) || steps == 0;
-            let grace = if patient {
-                opts.stall_ms
+            // Nothing can move: the main activity ended, or it waits for
+            // something no action can bring.
+            break if done() {
+                RunVerdict::Completed
             } else {
-                opts.deadlock_grace_ms
+                RunVerdict::Deadlock
             };
-            let deadline = std::time::Instant::now() + std::time::Duration::from_millis(grace);
-            let mut resolved = false;
-            while std::time::Instant::now() < deadline {
-                std::thread::yield_now();
-                if done.load(Ordering::Acquire)
-                    || gate.is_released()
-                    || !enabled(rt, sim, kills_left).is_empty()
-                    || (!patient && main_done.load(Ordering::Acquire))
-                {
-                    resolved = true;
-                    break;
-                }
-            }
-            if resolved {
-                continue;
-            }
-            break RunVerdict::Deadlock;
         }
         if steps >= opts.max_steps {
             break RunVerdict::Budget;
@@ -230,7 +177,7 @@ pub fn drive(
             }
             Action::Step(p) => {
                 sim.record_step(p);
-                if !gate.grant(p) {
+                if !rt.step(PlaceId(p)) {
                     break RunVerdict::Aborted;
                 }
             }
@@ -261,10 +208,11 @@ pub fn drive(
 /// Everything one simulated run produced: the workload's result, every
 /// panic, the schedule report, and the post-run oracle inputs.
 pub struct SimRun<R> {
-    /// The workload result: `None` when its thread panicked (message in
-    /// [`SimRun::panics`]), otherwise `run_checked`'s verdict.
+    /// The workload result, typed as `run_checked` would return it: `None`
+    /// when the main activity panicked with something other than a runtime
+    /// error (message in [`SimRun::panics`]) or never ran.
     pub result: Option<Result<R, ApgasError>>,
-    /// Workload-thread and worker-thread panic messages, in capture order.
+    /// Main-activity and worker panic messages, in capture order.
     pub panics: Vec<String>,
     /// What the schedule did.
     pub report: ScheduleReport,
@@ -298,44 +246,25 @@ pub fn run_sim<R: Send + 'static>(
 ) -> SimRun<R> {
     let want_trace = cfg.trace_enable;
     let rt = Runtime::with_transport(cfg.deterministic(true), sim.clone());
-    let done = AtomicBool::new(false);
-    let main_done = Arc::new(AtomicBool::new(false));
-    let result: Mutex<Option<Result<R, ApgasError>>> = Mutex::new(None);
-    let workload_panic: Mutex<Option<String>> = Mutex::new(None);
-    let report = std::thread::scope(|s| {
-        let md = main_done.clone();
-        let wrapped = move |ctx: &Ctx| {
-            let r = body(ctx);
-            // Runs inside the body's final quantum, so the controller can
-            // tell "completed, thread still reporting" from "stuck".
-            md.store(true, Ordering::Release);
-            r
-        };
-        s.spawn(|| {
-            match catch_unwind(AssertUnwindSafe(|| rt.run_checked(wrapped))) {
-                Ok(r) => *result.lock() = Some(r),
-                Err(e) => {
-                    *workload_panic.lock() = Some(apgas::panic_message(e));
-                }
-            }
-            done.store(true, Ordering::Release);
-        });
-        // Startup barrier: wait (consuming no schedule choices) until the
-        // workload thread has enqueued the main activity. The enqueue is
-        // the only asynchronous state injection of the whole run; letting
-        // drive() start before it lands would race it against controller
-        // policies that mutate state while the network is quiet — the
-        // fault-backlog poke drain would advance the fault clock by an
-        // OS-timing-dependent amount before the first quantum.
-        while !done.load(Ordering::Acquire) && !rt.place_has_work(PlaceId(0)) {
-            std::thread::yield_now();
-        }
-        drive(&rt, &sim, chooser, opts, &done, &main_done)
-    });
-    let mut panics: Vec<String> = workload_panic.into_inner().into_iter().collect();
+    // The main activity is enqueued before the first choice and runs on
+    // place 0's context like any other activity, so its end is visible the
+    // moment the quantum that ends it returns.
+    let outcome = rt.start(body);
+    let report = drive(&rt, &sim, chooser, opts, &|| !outcome.is_empty());
+    // A run that did not complete was shut down, which unwound the main
+    // activity out of its waits; it has no outcome only if it never ran.
+    let (result, workload_panic) = match outcome.try_recv() {
+        Ok(Ok(r)) => (Some(Ok(r)), None),
+        Ok(Err(e)) => match ApgasError::from_panic(&*e) {
+            Some(err) => (Some(Err(err)), None),
+            None => (None, Some(apgas::panic_message(e))),
+        },
+        Err(_) => (None, None),
+    };
+    let mut panics: Vec<String> = workload_panic.into_iter().collect();
     panics.extend(rt.take_uncounted_panics());
     SimRun {
-        result: result.into_inner(),
+        result,
         panics,
         residue: rt.finish_residue(),
         residue_alive: rt.finish_residue_alive(),

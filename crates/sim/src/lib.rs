@@ -5,8 +5,8 @@
 //! messages may survive thousands of stress runs. This crate removes the OS
 //! from the picture: a [`SimTransport`] holds every
 //! sent envelope **in flight** until a central controller delivers it, and
-//! the runtime's workers (built with `Config::deterministic`) only execute
-//! inside controller-granted quanta. Every interleaving decision is one
+//! the runtime's places (built with `Config::deterministic`) only execute
+//! inside quanta the controller steps. Every interleaving decision is one
 //! integer drawn from a seeded stream — so a whole distributed execution is
 //! a pure function of `(workload seed, schedule seed)`, replayable
 //! bit-for-bit and *shrinkable* when it fails.
@@ -18,8 +18,8 @@
 //!   time, the causal trace hash, the envelope ledger, mutations;
 //! * [`schedule`] — the [`Chooser`]: seeded / replayed
 //!   decision streams and the recorded choice log;
-//! * [`controller`] — [`run_sim`]: baton-passing
-//!   single-stepping of the places, quiescence / deadlock verdicts;
+//! * [`controller`] — [`run_sim`]: single-stepping of the place
+//!   contexts, quiescence / deadlock verdicts;
 //! * [`workload`] — random spawn trees, per-protocol legalization, and the
 //!   sequential reference model;
 //! * [`fuzz`] — cases, oracles, delta-debug shrinking, one-line repros.

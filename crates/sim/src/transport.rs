@@ -20,8 +20,7 @@
 //! * an optional **mutation** — a deliberately injected protocol bug (drop
 //!   the n-th envelope of a class) used to prove the fuzzer has teeth.
 
-use crate::rng::SplitMix64;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -119,7 +118,6 @@ pub struct SimTransport {
     state: Mutex<SimState>,
     mailboxes: Vec<Mutex<VecDeque<Envelope>>>,
     closed: Vec<AtomicBool>,
-    wakers: RwLock<Vec<Option<Waker>>>,
     stats: NetStats,
     /// Virtual clock: one tick per schedule action.
     now: AtomicU64,
@@ -141,7 +139,6 @@ impl SimTransport {
             }),
             mailboxes: (0..places).map(|_| Mutex::new(VecDeque::new())).collect(),
             closed: (0..places).map(|_| AtomicBool::new(false)).collect(),
-            wakers: RwLock::new(vec![None; places]),
             stats: NetStats::new(places),
             now: AtomicU64::new(0),
         }
@@ -151,11 +148,6 @@ impl SimTransport {
     pub fn with_mutation(self, m: Mutation) -> Self {
         self.state.lock().mutation = Some(m);
         self
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> u64 {
-        self.now.load(Ordering::Acquire)
     }
 
     /// Advance the virtual clock by one schedule action.
@@ -212,14 +204,10 @@ impl SimTransport {
         });
         drop(s);
         self.mailboxes[to].lock().push_back(env);
-        let waker = self.wakers.read()[to].clone();
-        if let Some(w) = waker {
-            w();
-        }
         true
     }
 
-    /// Record a `Step(place)` schedule action into the trace hash (grants
+    /// Record a `Step(place)` schedule action into the trace hash (steps
     /// shape causality just like deliveries do).
     pub fn record_step(&self, place: u32) {
         self.tick();
@@ -321,9 +309,8 @@ impl Transport for SimTransport {
         n
     }
 
-    fn register_waker(&self, place: PlaceId, waker: Waker) {
-        self.wakers.write()[place.index()] = Some(waker);
-    }
+    /// Nothing to wake: a place runs only when the controller steps it.
+    fn register_waker(&self, _place: PlaceId, _waker: Waker) {}
 
     fn stats(&self) -> &NetStats {
         &self.stats
@@ -372,13 +359,6 @@ impl Transport for SimTransport {
             .map(|i| PlaceId(i as u32))
             .collect()
     }
-}
-
-/// Seeded helper: pick a uniformly random element index (used by the
-/// controller's chooser, re-exported here so transport tests can drive the
-/// sim by hand).
-pub fn pick(rng: &mut SplitMix64, n: usize) -> usize {
-    rng.below(n as u64) as usize
 }
 
 #[cfg(test)]

@@ -1,7 +1,9 @@
 //! Record/replay determinism: a simulated run is a pure function of
-//! `(workload seed, schedule seed)`, and replaying its recorded choice log
-//! reproduces the causal trace hash bit-for-bit — including when a seeded
-//! `FaultTransport` sits between the runtime and the simulated network.
+//! `(workload seed, schedule seed)` (the fixed corpus in `fuzz_corpus.rs`
+//! pins 84 of them to golden fingerprints), and replaying its recorded
+//! choice log reproduces the causal trace hash bit-for-bit — including when
+//! a seeded `FaultTransport` sits between the runtime and the simulated
+//! network.
 
 use apgas::{ClassFaults, Config, FaultPlan, FinishKind, PlaceId};
 use sim::controller::{run_sim, RunVerdict, SimOpts};
@@ -11,36 +13,19 @@ use sim::transport::SimTransport;
 use sim::workload::{run_tree, TreeSpec};
 use std::sync::Arc;
 
-#[test]
-fn same_seeds_same_trace_hash() {
-    for kind in [FinishKind::Default, FinishKind::Dense, FinishKind::Here] {
-        let spec = CaseSpec::new(kind, 4, 0x5EED, 0xBA70);
-        let opts = SimOpts::default();
-        let a = run_case(&spec, &opts);
-        let b = run_case(&spec, &opts);
-        assert_eq!(a.failure, None, "{}: {:?}", kind.label(), a.failure);
-        assert_eq!(
-            a.report.trace_hash,
-            b.report.trace_hash,
-            "{}: two runs of the same seeds diverged",
-            kind.label()
-        );
-        assert_eq!(a.report.choices, b.report.choices);
-    }
-}
-
-/// One deterministic run of a seeded tree over `places` multiplexed onto
-/// `executors` executor threads; returns the schedule fingerprint.
-fn mplex_run(
-    places: usize,
+/// One deterministic FINISH_DEFAULT run of a seeded `nodes`-node tree over
+/// `places` (`pph` per host), optionally with `executors` executor threads
+/// configured; returns the schedule fingerprint.
+fn tree_run(
+    (places, pph, nodes): (usize, usize, usize),
     executors: Option<usize>,
     wseed: u64,
     sseed: u64,
 ) -> (RunVerdict, u64, u64, Option<u64>) {
-    let tree = TreeSpec::generate(wseed, places, 48).legalize(FinishKind::Default);
+    let tree = TreeSpec::generate(wseed, places, nodes).legalize(FinishKind::Default);
     // Individual envelopes, as everywhere in the sim harness: the controller
     // cannot see coalescer-buffered messages, so batching reads as deadlock.
-    let mut cfg = Config::new(places).places_per_host(8).batch_disable(true);
+    let mut cfg = Config::new(places).places_per_host(pph).batch_disable(true);
     if let Some(n) = executors {
         cfg = cfg.executor_threads(n);
     }
@@ -62,34 +47,45 @@ fn mplex_run(
 }
 
 #[test]
-fn mplex_256_places_same_seed_same_trace_hash() {
-    // The M:N regression: 256 places multiplexed onto two executor threads
-    // must stay a pure function of the seeds — `Step(place)` grants a
-    // quantum to a stackful context instead of an OS thread, and that swap
-    // must not leak timing into a single scheduling decision.
+fn wide_run_matches_its_golden_fingerprint() {
+    // 256 place contexts, with `executor_threads` set (deterministic mode
+    // ignores it): the run must reproduce its golden `(verdict, trace
+    // hash, deliveries)` — pinned like the corpus in `fuzz_corpus.rs` —
+    // and the model's sum.
     let model = TreeSpec::generate(0xD57, 256, 48)
         .legalize(FinishKind::Default)
         .model();
-    let a = mplex_run(256, Some(2), 0xD57, 0x256);
-    let b = mplex_run(256, Some(2), 0xD57, 0x256);
-    assert_eq!(a.0, RunVerdict::Completed);
-    assert_eq!(a.3, Some(model.sum), "multiplexing must not change results");
-    assert_eq!(a, b, "two multiplexed runs of the same seeds diverged");
+    assert_eq!(
+        tree_run((256, 8, 48), Some(2), 0xD57, 0x256),
+        (
+            RunVerdict::Completed,
+            0x3714_8b1e_edf4_2afd,
+            88,
+            Some(model.sum)
+        )
+    );
 }
 
 #[test]
-fn mplex_and_threaded_agree_on_the_causal_trace() {
-    // Same seeds, same chooser — the only difference is whether each place
-    // is an OS thread or a context on the executor pool. The controller's
-    // enabled-set enumeration and the delivery stream must be identical, so
-    // the causal trace hashes must match bit-for-bit.
-    let threaded = mplex_run(64, None, 0xA11, 0x64);
-    let mplexed = mplex_run(64, Some(2), 0xA11, 0x64);
-    assert_eq!(threaded.0, RunVerdict::Completed);
+fn executor_threads_leave_deterministic_runs_unchanged() {
+    // The corpus case FINISH_DEFAULT / 4 places, 2 per host / wseed 0 /
+    // sseed 0 once crashed or hung in 4 of 10 runs on two executor
+    // threads. The controller resumes every place context itself, so the
+    // setting must change nothing: 20 runs, each with the plain run's
+    // fingerprint and its golden trace hash (see `fuzz_corpus.rs`).
+    let corpus_shape = (4, 2, 16);
+    let plain = tree_run(corpus_shape, None, 0, 0);
     assert_eq!(
-        threaded, mplexed,
-        "executor multiplexing changed the simulated schedule"
+        (plain.0, plain.1),
+        (RunVerdict::Completed, 0x5c5c_cefc_5cf1_6a07)
     );
+    for i in 0..20 {
+        assert_eq!(
+            tree_run(corpus_shape, Some(2), 0, 0),
+            plain,
+            "run {i} diverged"
+        );
+    }
 }
 
 #[test]

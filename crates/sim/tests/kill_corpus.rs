@@ -15,15 +15,6 @@ use sim::controller::SimOpts;
 use sim::fuzz::{parse_repro, run_case, run_case_with, shrink, CaseSpec};
 use sim::schedule::Chooser;
 
-/// Tight deadlock grace (as in the mutation tests): broken-adoption runs
-/// fail by wedging, and every probe of a wedged schedule costs one grace.
-fn opts() -> SimOpts {
-    SimOpts {
-        deadlock_grace_ms: 25,
-        ..SimOpts::default()
-    }
-}
-
 fn kill_spec(wseed: u64, sseed: u64) -> CaseSpec {
     CaseSpec {
         kills: 1,
@@ -34,7 +25,7 @@ fn kill_spec(wseed: u64, sseed: u64) -> CaseSpec {
 #[test]
 fn resilient_survives_the_seeded_kill_corpus() {
     chaos::install_quiet_panic_hook();
-    let opts = opts();
+    let opts = SimOpts::default();
     let mut killed_runs = 0;
     let mut mid_protocol_kills = 0;
     for wseed in 0..3u64 {
@@ -74,7 +65,7 @@ fn resilient_survives_kills_on_wide_runtimes() {
     chaos::install_quiet_panic_hook();
     // 8 places / 2 per host with a 2-kill budget: multiple hosts can lose
     // a place, including the backup place (place 1) itself.
-    let opts = opts();
+    let opts = SimOpts::default();
     for sseed in 0..4u64 {
         let spec = CaseSpec {
             kills: 2,
@@ -95,7 +86,7 @@ fn resilient_survives_kills_on_wide_runtimes() {
 #[test]
 fn broken_adoption_is_caught_shrunk_and_replayed() {
     chaos::install_quiet_panic_hook();
-    let opts = opts();
+    let opts = SimOpts::default();
     const CASE_BUDGET: u64 = 16;
 
     // 1. With adoption disabled, the kill corpus must catch the wedge

@@ -18,19 +18,10 @@ const BUG: Mutation = Mutation::DropNth {
     nth: 0,
 };
 
-/// Short deadlock grace: every probe of a wedged schedule costs one grace
-/// period, so mutation hunting wants it tight.
-fn opts() -> SimOpts {
-    SimOpts {
-        deadlock_grace_ms: 25,
-        ..SimOpts::default()
-    }
-}
-
 #[test]
 fn dropped_finish_ctl_is_caught_shrunk_and_replayed() {
     chaos::install_quiet_panic_hook();
-    let opts = opts();
+    let opts = SimOpts::default();
     const CASE_BUDGET: u64 = 8;
 
     // 1. The sweep must catch the bug within the case budget.
@@ -90,7 +81,7 @@ fn dropped_task_message_is_caught_too() {
         class: MsgClass::Task,
         nth: 0,
     };
-    let opts = opts();
+    let opts = SimOpts::default();
     let found = (0..8u64).any(|sseed| {
         let spec = CaseSpec::new(FinishKind::Default, 4, 1, sseed);
         run_case_with(&spec, Chooser::seeded(sseed), Some(bug), &opts, false)

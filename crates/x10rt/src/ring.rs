@@ -16,13 +16,14 @@
 //!
 //! # Multi-producer reality
 //!
-//! The transport guarantees FIFO per (sender *place*, destination) pair, but
-//! a place may run several worker threads (`workers_per_place > 1`) and
-//! tests hammer one pair from many threads. Rather than push that burden to
-//! every caller, each side of the ring carries a tiny spin guard (an
-//! `AtomicBool` CAS — *not* a mutex: no syscall, no parking, no priority
-//! inheritance machinery). Uncontended — the overwhelmingly common case,
-//! one worker per place — the guard costs one uncontended CAS; contended
+//! The transport guarantees FIFO per (sender *place*, destination) pair.
+//! A place runs one worker, but other threads send under its id too: the
+//! runtime's own thread (shutdown broadcasts, status and observability
+//! requests), and tests that hammer one pair from many threads. Rather
+//! than push that burden to every caller, each side of the ring carries a
+//! tiny spin guard (an `AtomicBool` CAS — *not* a mutex: no syscall, no
+//! parking, no priority inheritance machinery). Uncontended — the
+//! overwhelmingly common case — the guard costs one CAS; contended
 //! producers spin, which preserves each thread's program order instead of
 //! reordering its messages around a detour. The guards make the safe API
 //! genuinely safe while keeping the SPSC fast path intact.
